@@ -17,11 +17,14 @@ second ``conftest`` module on ``sys.path`` would shadow it.
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.critical_path import format_critical_path_table
-from repro.config import CryptoCosts, ObservabilityConfig, SystemConfig, TimerConfig
+from repro.config import ObservabilityConfig, SystemConfig, TimerConfig
 
 #: Timers tuned so saturated-load benchmarks retransmit sparingly.
 BENCH_TIMERS = TimerConfig(client_retransmit_ms=400.0, agreement_retransmit_ms=200.0,
@@ -85,6 +88,77 @@ def bench_config(**overrides) -> SystemConfig:
                     timers=BENCH_TIMERS, observability=current_observability())
     defaults.update(overrides)
     return SystemConfig(**defaults)
+
+
+def gate_main(name: str, doc: str, argv: Optional[Sequence[str]], *,
+              seed: int, workload_seed: int, run_all: Callable[..., Dict],
+              check_regression: Callable[[Dict, Path], int],
+              baseline_fields: Callable[[Dict], Dict],
+              criteria: Callable[[Dict], List[Tuple[str, bool]]],
+              traced_run: str, regression_help: str,
+              warnings: Callable[[Dict], List[str]] = lambda results: [],
+              extra_args: Sequence[Tuple[str, Dict]] = ()) -> int:
+    """The command line every CI-gated benchmark script shares.
+
+    Runs ``run_all`` and writes ``BENCH_<name>.json`` (plus the traced run's
+    ``TRACE_<name>.jsonl``).  ``--update-baseline`` rewrites
+    ``<name>_baseline.json`` from ``baseline_fields(results)`` and the run's
+    mode; ``--check-regression`` applies ``check_regression`` to it.  The
+    exit status is non-zero when the regression check fails or any named
+    ``criteria(results)`` entry is false; ``warnings(results)`` are printed
+    but never fail the run.  ``extra_args`` are ``(flag, add_argument
+    options)`` pairs whose values are passed to ``run_all`` by name.
+    """
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="smaller windows for CI smoke runs")
+    parser.add_argument("--seed", type=int, default=seed,
+                        help="simulator seed; explicit so CI reruns are "
+                             "bit-identical")
+    parser.add_argument("--workload-seed", type=int, default=workload_seed,
+                        help="workload-generator seed")
+    parser.add_argument("--output", type=Path,
+                        default=Path(f"BENCH_{name}.json"))
+    parser.add_argument("--no-obs", action="store_true",
+                        help="disable the metrics registry and request tracing "
+                             "(the overhead gate compares this against the "
+                             "default run; virtual-time results are identical)")
+    parser.add_argument("--trace-output", type=Path,
+                        default=Path(f"TRACE_{name}.jsonl"),
+                        help=f"JSONL destination for {traced_run}'s trace "
+                             "(ignored with --no-obs)")
+    parser.add_argument("--baseline", type=Path,
+                        default=Path(__file__).parent / f"{name}_baseline.json")
+    extra = [parser.add_argument(flag, **options).dest
+             for flag, options in extra_args]
+    parser.add_argument("--check-regression", action="store_true",
+                        help=regression_help)
+    parser.add_argument("--update-baseline", action="store_true",
+                        help="rewrite the baseline from this run's measurement")
+    args = parser.parse_args(argv)
+
+    set_observability(not args.no_obs)
+    results = run_all(quick=args.quick, seed=args.seed,
+                      workload_seed=args.workload_seed,
+                      trace_output=None if args.no_obs else args.trace_output,
+                      **{dest: getattr(args, dest) for dest in extra})
+    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    print(f"\nwrote {args.output}")
+
+    status = 0
+    if args.update_baseline:
+        baseline = dict(baseline_fields(results), mode=results["mode"])
+        args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
+        print(f"wrote baseline {args.baseline}")
+    if args.check_regression:
+        status = check_regression(results, args.baseline)
+    for warning in warnings(results):
+        print(f"WARNING: {warning}", file=sys.stderr)
+    failed = [criterion for criterion, ok in criteria(results) if not ok]
+    if failed:
+        print("FAILED criteria: " + "; ".join(failed), file=sys.stderr)
+        status = max(status, 1)
+    return status
 
 
 def print_section(title: str) -> None:

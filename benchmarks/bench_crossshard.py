@@ -29,7 +29,6 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -53,7 +52,7 @@ from repro.workloads import (
     seed_operations,
 )
 
-from bench_common import collect_critical_path, current_observability, obs_enabled, set_observability
+from bench_common import collect_critical_path, current_observability, gate_main, obs_enabled
 from bench_hotpath import HOTPATH_CRYPTO
 
 NUM_SHARDS = 4
@@ -229,59 +228,20 @@ def check_regression(results: Dict, baseline_path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller windows for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=13,
-                        help="simulator seed (network jitter); explicit so CI "
-                             "reruns are bit-identical")
-    parser.add_argument("--workload-seed", type=int, default=7,
-                        help="workload-generator RNG seed")
-    parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_crossshard.json"))
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry and request tracing")
-    parser.add_argument("--trace-output", type=Path,
-                        default=Path("TRACE_crossshard.jsonl"),
-                        help="JSONL destination for the mixed run's trace "
-                             "(ignored with --no-obs)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "crossshard_baseline.json")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail if the throughput ratio or the snapshot "
-                             "audit regress below the baseline")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's measurement")
-    args = parser.parse_args(argv)
-
-    set_observability(not args.no_obs)
-    results = run_all(quick=args.quick, seed=args.seed,
-                      workload_seed=args.workload_seed,
-                      trace_output=None if args.no_obs else args.trace_output)
-    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    if args.update_baseline:
-        baseline = {
+    return gate_main(
+        "crossshard", __doc__, argv, seed=13, workload_seed=7, run_all=run_all,
+        check_regression=check_regression,
+        baseline_fields=lambda results: {
             "throughput_ratio": results["throughput"]["throughput_ratio"],
-            "tolerance": 0.15,
-            "mode": results["mode"],
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-        print(f"wrote baseline {args.baseline}")
-    if args.check_regression:
-        status = check_regression(results, args.baseline)
-    if not results["pass"]:
-        failed = [name for name, ok in [
+            "tolerance": 0.15},
+        criteria=lambda results: [
             ("throughput ratio >= 0.8", results["throughput"]["throughput_pass"]),
             ("multi-shard operations completed",
              results["throughput"]["multi_pass"]),
-            ("snapshot-consistency audit", results["audit"]["audit_pass"]),
-        ] if not ok]
-        print("FAILED criteria: " + "; ".join(failed), file=sys.stderr)
-        status = max(status, 1)
-    return status
+            ("snapshot-consistency audit", results["audit"]["audit_pass"])],
+        traced_run="the mixed run",
+        regression_help="fail if the throughput ratio or the snapshot audit "
+                        "regress below the baseline")
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import sys
@@ -58,7 +57,7 @@ from repro.sharding import ShardedSystem
 from repro.workloads import equal_range_boundaries
 from repro.workloads.skew import skew_key
 
-from bench_common import collect_critical_path, current_observability, obs_enabled, set_observability
+from bench_common import collect_critical_path, current_observability, gate_main, obs_enabled
 from bench_hotpath import HOTPATH_CRYPTO
 
 NUM_SHARDS = 2
@@ -430,60 +429,22 @@ def check_regression(results: Dict, baseline_path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller windows for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="simulator seed (network jitter); explicit so CI "
-                             "reruns are bit-identical")
-    parser.add_argument("--workload-seed", type=int, default=3,
-                        help="workload-generator RNG seed")
-    parser.add_argument("--output", type=Path, default=Path("BENCH_failover.json"))
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry and request tracing")
-    parser.add_argument("--trace-output", type=Path,
-                        default=Path("TRACE_failover.jsonl"),
-                        help="JSONL destination for the equivocating run's "
-                             "trace (ignored with --no-obs)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "failover_baseline.json")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail if any attack's recovery time regresses "
-                             "above the baseline ceiling")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's measurement")
-    args = parser.parse_args(argv)
-
-    set_observability(not args.no_obs)
-    results = run_all(quick=args.quick, seed=args.seed,
-                      workload_seed=args.workload_seed,
-                      trace_output=None if args.no_obs else args.trace_output)
-    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    if args.update_baseline:
-        baseline = {
+    return gate_main(
+        "failover", __doc__, argv, seed=7, workload_seed=3, run_all=run_all,
+        check_regression=check_regression,
+        baseline_fields=lambda results: {
             "time_to_recover_ms": {
                 attack: run["time_to_recover_ms"]
                 for attack, run in results["failover"]["attacks"].items()},
             "tolerance": 0.25,
-            "slack_ms": 50.0,
-            "mode": results["mode"],
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-        print(f"wrote baseline {args.baseline}")
-    if args.check_regression:
-        status = check_regression(results, args.baseline)
-    if not results["pass"]:
-        failed = [name for name, ok in [
+            "slack_ms": 50.0},
+        criteria=lambda results: [
             (f"recovery ratio >= {RECOVERY_FRACTION} under every attack",
              results["failover"]["failover_pass"]),
-            ("equivocation safety audit", results["safety"]["safety_pass"]),
-        ] if not ok]
-        print("FAILED criteria: " + "; ".join(failed), file=sys.stderr)
-        status = max(status, 1)
-    return status
+            ("equivocation safety audit", results["safety"]["safety_pass"])],
+        traced_run="the equivocating run",
+        regression_help="fail if any attack's recovery time regresses above "
+                        "the baseline ceiling")
 
 
 if __name__ == "__main__":

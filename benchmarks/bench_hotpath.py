@@ -28,14 +28,13 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List
 
-from bench_common import current_observability, obs_enabled, set_observability
+from bench_common import current_observability, gate_main, obs_enabled
 from repro.analysis import format_table
 from repro.apps.kvstore import KeyValueStore
 from repro.apps.null_service import NullService
@@ -449,64 +448,24 @@ def check_regression(results: Dict, baseline_path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workloads for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=42,
-                        help="simulator seed (network jitter); explicit so CI "
-                             "reruns are bit-identical")
-    parser.add_argument("--workload-seed", type=int, default=7,
-                        help="workload-generator RNG seed")
-    parser.add_argument("--output", type=Path, default=Path("BENCH_hotpath.json"))
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry and request tracing "
-                             "(the overhead gate compares this against the "
-                             "default run; virtual-time results are identical)")
-    parser.add_argument("--trace-output", type=Path,
-                        default=Path("TRACE_hotpath.jsonl"),
-                        help="JSONL destination for the primary run's trace "
-                             "(ignored with --no-obs)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "hotpath_baseline.json")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail if verify ops/request regress above the baseline")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's measurement")
-    args = parser.parse_args(argv)
-
-    set_observability(not args.no_obs)
-    results = run_all(quick=args.quick, seed=args.seed,
-                      workload_seed=args.workload_seed,
-                      trace_output=None if args.no_obs else args.trace_output)
-    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    if args.update_baseline:
-        baseline = {
+    return gate_main(
+        "hotpath", __doc__, argv, seed=42, workload_seed=7, run_all=run_all,
+        check_regression=check_regression,
+        baseline_fields=lambda results: {
             "verify_ops_per_committed_request":
                 results["crypto"]["after"]["verify_ops_per_request"],
-            "tolerance": 0.15,
-            "mode": results["mode"],
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-        print(f"wrote baseline {args.baseline}")
-    if args.check_regression:
-        status = check_regression(results, args.baseline)
-    if not results["crypto"]["wallclock_pass"]:
-        print("WARNING: wall-clock speedup below 1.5x on this machine "
-              "(timing-dependent; not gated)", file=sys.stderr)
-    if not results["deterministic_pass"]:
-        failed = [name for name, ok in [
+            "tolerance": 0.15},
+        criteria=lambda results: [
             ("verify reduction >= 30%", results["crypto"]["verify_reduction_pass"]),
             ("adaptive matches/beats static at high load",
              results["batching"]["high_load_pass"]),
             ("adaptive p50 within 10% of bundle=1 at low load",
-             results["batching"]["low_load_pass"]),
-        ] if not ok]
-        print("FAILED criteria: " + "; ".join(failed), file=sys.stderr)
-        status = max(status, 1)
-    return status
+             results["batching"]["low_load_pass"])],
+        warnings=lambda results: [] if results["crypto"]["wallclock_pass"] else [
+            "wall-clock speedup below 1.5x on this machine "
+            "(timing-dependent; not gated)"],
+        traced_run="the primary run",
+        regression_help="fail if verify ops/request regress above the baseline")
 
 
 if __name__ == "__main__":

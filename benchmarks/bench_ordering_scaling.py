@@ -7,7 +7,7 @@ four shards per agreement log:
    K = 1, 2 and 4 agreement logs (offered load and key space scale with
    K), single-group traffic only.  K = 1 is the plain sharded deployment
    (one 3f+1 cluster ordering every shard's feed); K > 1 partitions the
-   ordering plane with :class:`~repro.multilog.MultiLogSystem`.
+   ordering plane (both built by :class:`~repro.sharding.ShardedSystem`).
    Acceptance: K = 4 sustains >= 2x the K = 1 committed-requests/sec --
    if splitting the agreement plane four ways cannot even double
    throughput, the ordering plane was never the bottleneck being bought.
@@ -35,7 +35,6 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -51,7 +50,6 @@ from repro.config import (
     TimerConfig,
 )
 from repro.sharding import ShardedSystem
-from repro.multilog import MultiLogSystem
 from repro.workloads import (
     audit_cross_group_consistency,
     equal_range_boundaries,
@@ -60,7 +58,7 @@ from repro.workloads import (
     seed_operations,
 )
 
-from bench_common import collect_critical_path, current_observability, obs_enabled, set_observability
+from bench_common import collect_critical_path, current_observability, gate_main, obs_enabled
 from bench_hotpath import HOTPATH_CRYPTO
 
 SHARDS_PER_LOG = 4
@@ -106,16 +104,11 @@ def build_system(num_logs: int, seed: int, *, cross: bool = False):
         observability=current_observability())
     if cross:
         kwargs["cross_shard"] = CrossShardConfig(enabled=True)
-    if num_logs == 1:
-        config = SystemConfig.sharded(
-            num_shards, "range", equal_range_boundaries(key_space, num_shards),
-            **kwargs)
-        return ShardedSystem(config, KeyValueStore, seed=seed)
     config = SystemConfig.multilog_sharded(
         num_logs=num_logs, num_shards=num_shards, strategy="range",
         range_boundaries=equal_range_boundaries(key_space, num_shards),
         **kwargs)
-    return MultiLogSystem(config, KeyValueStore, seed=seed)
+    return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
 def run_window(system, num_logs: int, multi_fraction: float, label: str, *,
@@ -289,64 +282,24 @@ def check_regression(results: Dict, baseline_path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller windows for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=13,
-                        help="simulator seed (network jitter); explicit so CI "
-                             "reruns are bit-identical")
-    parser.add_argument("--workload-seed", type=int, default=7,
-                        help="workload-generator RNG seed")
-    parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_ordering.json"))
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry and request tracing")
-    parser.add_argument("--trace-output", type=Path,
-                        default=Path("TRACE_ordering.jsonl"),
-                        help="JSONL destination for the cross-group run's "
-                             "trace (ignored with --no-obs)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "ordering_baseline.json")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail if the scaling or cross-group ratios or "
-                             "the per-group audit regress below the baseline")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's measurement")
-    args = parser.parse_args(argv)
-
-    set_observability(not args.no_obs)
-    results = run_all(quick=args.quick, seed=args.seed,
-                      workload_seed=args.workload_seed,
-                      trace_output=None if args.no_obs else args.trace_output)
-    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    if args.update_baseline:
-        baseline = {
+    return gate_main(
+        "ordering", __doc__, argv, seed=13, workload_seed=7, run_all=run_all,
+        check_regression=check_regression,
+        baseline_fields=lambda results: {
             "scaling_ratio": results["scaling"]["scaling_ratio"],
             "cross_ratio": results["cross_group"]["cross_ratio"],
-            "tolerance": 0.15,
-            "mode": results["mode"],
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-        print(f"wrote baseline {args.baseline}")
-    if args.check_regression:
-        status = check_regression(results, args.baseline)
-    if not results["pass"]:
-        failed = [name for name, ok in [
+            "tolerance": 0.15},
+        criteria=lambda results: [
             (f"K={LOG_COUNTS[-1]} >= 2x K=1 committed/sec",
              results["scaling"]["scaling_pass"]),
             ("cross-group >= 0.8x single-group",
              results["cross_group"]["cross_pass"]),
             ("no cut fallovers or invalid cuts",
              results["cross_group"]["coordination_pass"]),
-            ("per-group snapshot audit",
-             results["cross_group"]["audit_pass"]),
-        ] if not ok]
-        print("FAILED criteria: " + "; ".join(failed), file=sys.stderr)
-        status = max(status, 1)
-    return status
+            ("per-group snapshot audit", results["cross_group"]["audit_pass"])],
+        traced_run="the cross-group run",
+        regression_help="fail if the scaling or cross-group ratios or the "
+                        "per-group audit regress below the baseline")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,6 @@ Run via the single gate entrypoint::
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -42,8 +41,8 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from bench_common import (BENCH_TIMERS, collect_critical_path,
-                          current_observability, obs_enabled, print_section,
-                          set_observability)
+                          current_observability, gate_main, obs_enabled,
+                          print_section)
 from repro.apps import kvstore
 from repro.apps.kvstore import KeyValueStore
 from repro.config import (CryptoCosts, CryptoPoolConfig, RuntimeConfig,
@@ -206,55 +205,18 @@ def check_regression(results: Dict, baseline_path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller workload for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="scheduler RNG seed (protocol-level draws)")
-    parser.add_argument("--workload-seed", type=int, default=5,
-                        help="key-placement offset for the workload")
-    parser.add_argument("--output", type=Path,
-                        default=Path("BENCH_realtime.json"))
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry and request tracing")
-    parser.add_argument("--trace-output", type=Path,
-                        default=Path("TRACE_realtime.jsonl"),
-                        help="JSONL destination for the pool leg's trace "
-                             "(ignored with --no-obs)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "realtime_baseline.json")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail on liveness loss or (on >=4-core hosts) "
-                             "a crypto-pool speedup below the baseline floor")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline gate thresholds")
-    args = parser.parse_args(argv)
-
-    set_observability(not args.no_obs)
-    results = run_all(quick=args.quick, seed=args.seed,
-                      workload_seed=args.workload_seed,
-                      trace_output=None if args.no_obs else args.trace_output)
-    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    if args.update_baseline:
-        baseline = {
+    return gate_main(
+        "realtime", __doc__, argv, seed=11, workload_seed=5, run_all=run_all,
+        check_regression=check_regression,
+        baseline_fields=lambda results: {
             "min_speedup": 1.5,
             "speedup_min_cores": 4,
-            "min_committed_per_s": 1.0,
-            "mode": results["mode"],
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2,
-                                            sort_keys=True) + "\n")
-        print(f"wrote baseline {args.baseline}")
-    if args.check_regression:
-        status = check_regression(results, args.baseline)
-    if not results["pass"]:
-        print("FAILED criteria: closed-loop workload did not fully commit",
-              file=sys.stderr)
-        status = max(status, 1)
-    return status
+            "min_committed_per_s": 1.0},
+        criteria=lambda results: [
+            ("closed-loop workload fully committed", results["pass"])],
+        traced_run="the pool leg",
+        regression_help="fail on liveness loss or (on >=4-core hosts) a "
+                        "crypto-pool speedup below the baseline floor")
 
 
 if __name__ == "__main__":

@@ -33,12 +33,11 @@ Run it directly::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 from repro.analysis import format_table
 from repro.apps.kvstore import KeyValueStore
@@ -55,7 +54,7 @@ from repro.workloads import (
     run_ordered_window,
 )
 
-from bench_common import collect_critical_path, current_observability, obs_enabled, set_observability
+from bench_common import collect_critical_path, current_observability, gate_main, obs_enabled
 from bench_hotpath import HOTPATH_CRYPTO
 
 NUM_SHARDS = 4
@@ -299,56 +298,18 @@ def check_regression(results: Dict, baseline_path: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="smaller windows for CI smoke runs")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="simulator seed (network jitter); explicit so CI "
-                             "reruns are bit-identical")
-    parser.add_argument("--workload-seed", type=int, default=5,
-                        help="workload-generator RNG seed")
-    parser.add_argument("--output", type=Path, default=Path("BENCH_rebalance.json"))
-    parser.add_argument("--no-obs", action="store_true",
-                        help="disable the metrics registry and request tracing")
-    parser.add_argument("--trace-output", type=Path,
-                        default=Path("TRACE_rebalance.jsonl"),
-                        help="JSONL destination for the rebalancing run's "
-                             "trace (ignored with --no-obs)")
-    parser.add_argument("--baseline", type=Path,
-                        default=Path(__file__).parent / "rebalance_baseline.json")
-    parser.add_argument("--check-regression", action="store_true",
-                        help="fail if the migrate speedup or the safety "
-                             "audit regress below the baseline")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite the baseline from this run's measurement")
-    args = parser.parse_args(argv)
-
-    set_observability(not args.no_obs)
-    results = run_all(quick=args.quick, seed=args.seed,
-                      workload_seed=args.workload_seed,
-                      trace_output=None if args.no_obs else args.trace_output)
-    args.output.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-    print(f"\nwrote {args.output}")
-
-    status = 0
-    if args.update_baseline:
-        baseline = {
+    return gate_main(
+        "rebalance", __doc__, argv, seed=11, workload_seed=5, run_all=run_all,
+        check_regression=check_regression,
+        baseline_fields=lambda results: {
             "migrate_speedup": results["migrate"]["speedup"],
-            "tolerance": 0.15,
-            "mode": results["mode"],
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
-        print(f"wrote baseline {args.baseline}")
-    if args.check_regression:
-        status = check_regression(results, args.baseline)
-    if not results["pass"]:
-        failed = [name for name, ok in [
+            "tolerance": 0.15},
+        criteria=lambda results: [
             ("migrate speedup >= 1.3x", results["migrate"]["speedup_pass"]),
-            ("exactly-once safety audit", results["safety"]["safety_pass"]),
-        ] if not ok]
-        print("FAILED criteria: " + "; ".join(failed), file=sys.stderr)
-        status = max(status, 1)
-    return status
+            ("exactly-once safety audit", results["safety"]["safety_pass"])],
+        traced_run="the rebalancing run",
+        regression_help="fail if the migrate speedup or the safety audit "
+                        "regress below the baseline")
 
 
 if __name__ == "__main__":

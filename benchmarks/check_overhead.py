@@ -25,18 +25,16 @@ import sys
 from pathlib import Path
 from typing import Dict, List
 
+from run_gate import GATES
+
 BENCH_DIR = Path(__file__).parent
 
-#: gate leg -> benchmark script (mirrors run_gate.GATES; no baselines here
-#: because the overhead gate checks determinism, not regressions)
-SCRIPTS: Dict[str, str] = {
-    "hotpath": "bench_hotpath.py",
-    "skew": "bench_skew.py",
-    "rebalance": "bench_rebalance.py",
-    "crossshard": "bench_crossshard.py",
-    "failover": "bench_failover.py",
-    "ordering": "bench_ordering_scaling.py",
-}
+#: gate leg -> benchmark script, for every run_gate leg except the
+#: wall-clock ``realtime`` one, whose results are not deterministic (no
+#: baselines here because the overhead gate checks determinism, not
+#: regressions)
+SCRIPTS: Dict[str, str] = {name: gate["script"] for name, gate in GATES.items()
+                           if name != "realtime"}
 
 #: fields allowed to differ between the obs-on and obs-off runs, stripped at
 #: any nesting depth before the comparison: wall-clock measurements, the

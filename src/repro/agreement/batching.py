@@ -326,16 +326,6 @@ class Batcher:
         candidates = self.full_shards() or self.shards()
         return candidates[0] if candidates else None
 
-    def peek(self, shard=ANY_SHARD, limit: Optional[int] = None) -> List[Certificate]:
-        """The requests :meth:`take` would return, without removing them."""
-        shard = self._pick(shard)
-        queue = self._queues.get(shard)
-        if not queue:
-            return []
-        count = min(len(queue), limit if limit is not None
-                    else self.bundle_size_for(shard))
-        return queue[:count]
-
     # ------------------------------------------------------------------ #
     # Taking bundles.
     # ------------------------------------------------------------------ #
@@ -412,9 +402,3 @@ class Batcher:
         pending = [cert for queue in self._queues.values() for cert in queue]
         pending.sort(key=lambda cert: self._arrival_of[self._key(cert)])
         return pending
-
-    def average_batch_size(self) -> float:
-        """Mean requests per batch taken so far (1.0 if nothing taken yet)."""
-        if self.total_batches == 0:
-            return 1.0
-        return self.total_enqueued / self.total_batches

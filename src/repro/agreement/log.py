@@ -86,9 +86,6 @@ class AgreementLog:
     def existing_entry(self, view: int, seq: int) -> Optional[LogEntry]:
         return self._entries.get((view, seq))
 
-    def entries_for_view(self, view: int) -> List[LogEntry]:
-        return [e for (v, _), e in sorted(self._entries.items()) if v == view]
-
     def prepared_entries_above(self, seq: int) -> List[LogEntry]:
         """All prepared-but-possibly-undelivered entries above ``seq``
         (across views) -- the evidence a view change must carry forward."""
@@ -112,10 +109,6 @@ class AgreementLog:
     def note_cross_shard(self, view: int, seq: int) -> None:
         """Mark the entry at ``(view, seq)`` as a cross-shard marker."""
         self.entry(view, seq).cross_shard = True
-
-    def cross_shard_count(self) -> int:
-        """Live cross-shard marker entries (introspection for tests)."""
-        return sum(1 for entry in self._entries.values() if entry.cross_shard)
 
     def pending_config_seqs(self) -> List[int]:
         """Sequence numbers of config operations not yet delivered.
@@ -180,6 +173,3 @@ class AgreementLog:
     def size(self) -> int:
         """Number of live log entries (post garbage collection)."""
         return len(self._entries)
-
-    def delivered_count(self) -> int:
-        return sum(1 for entry in self._entries.values() if entry.delivered)

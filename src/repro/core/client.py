@@ -106,10 +106,6 @@ class ClientNode(Process):
         """Whether a request is currently awaiting its reply."""
         return self._pending is not None
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
     def submit(self, operation: Operation,
                callback: Optional[Callable[[CompletedRequest], None]] = None) -> int:
         """Submit ``operation``; returns the request timestamp.

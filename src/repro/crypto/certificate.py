@@ -112,9 +112,6 @@ class Certificate:
         """Authenticators in deterministic (signer) order."""
         return [self.authenticators[s] for s in sorted(self.authenticators)]
 
-    def has_threshold_signature(self) -> bool:
-        return self.threshold_signature is not None
-
     def to_wire(self) -> Dict[str, Any]:
         """Canonical-encodable representation of the certificate."""
         payload = self.payload.to_wire() if hasattr(self.payload, "to_wire") else self.payload

@@ -68,9 +68,6 @@ class Keystore:
         if node not in self._nodes:
             self._nodes[node] = _derive(self._master, "node", node.name)
 
-    def is_registered(self, node: NodeId) -> bool:
-        return node in self._nodes
-
     def private_key(self, node: NodeId) -> bytes:
         """Private signing key of ``node`` (simulation-internal)."""
         try:

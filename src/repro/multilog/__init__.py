@@ -8,6 +8,11 @@ through their own log end to end, so committed throughput scales with
 ``K``; cross-group operations and log-map changes are fixed at one
 consistent cut by a cross-log coordination round of ``f + 1``-vouched
 per-log sequence bindings (see :mod:`repro.multilog.queue`).
+
+This package holds the log map, the router queue, the client and the
+coordination messages.  The deployment itself is built by
+:class:`~repro.sharding.system.ShardedSystem`, which reads ``K`` from
+``config.multilog.num_logs``; ``MultiLogSystem`` is kept as an alias of it.
 """
 
 from .client import MultiLogClient
@@ -15,10 +20,18 @@ from .logmap import LogMap, LogMapRegistry, initial_log_map
 from .messages import (CrossLogBinding, CrossLogBindingBody, CrossLogCut,
                        LogMapChange, log_map_change_of)
 from .queue import MultiLogRouterQueue
-from .system import MultiLogSystem
 
 __all__ = [
     "CrossLogBinding", "CrossLogBindingBody", "CrossLogCut", "LogMap",
     "LogMapChange", "LogMapRegistry", "MultiLogClient", "MultiLogRouterQueue",
     "MultiLogSystem", "initial_log_map", "log_map_change_of",
 ]
+
+
+def __getattr__(name: str):
+    # Resolved lazily: repro.sharding.system imports this package's modules,
+    # so an eager import here would be circular.
+    if name == "MultiLogSystem":
+        from ..sharding.system import ShardedSystem
+        return ShardedSystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -49,11 +49,6 @@ class LogMap:
         """The log whose agreement cluster orders ``shard``'s feed."""
         return self.assignment[shard]
 
-    def shards_of_log(self, log: int) -> List[int]:
-        """Ascending list of shards in ``log``'s group."""
-        return [shard for shard, owner in enumerate(self.assignment)
-                if owner == log]
-
     def move(self, shard: int, target_log: int) -> "LogMap":
         """Reassign ``shard`` to ``target_log`` (a new map at epoch + 1)."""
         if not 0 <= shard < self.num_shards:

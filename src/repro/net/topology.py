@@ -15,10 +15,10 @@ which is how the simulation enforces the paper's physical-wiring requirement.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import FrozenSet, Iterable, List, Set
 
 from ..errors import TopologyError
-from ..util.ids import NodeId, Role
+from ..util.ids import NodeId
 
 
 class Topology:
@@ -152,10 +152,3 @@ class Topology:
         if allow_client_execution:
             topo.add_links(clients, execution)
         return topo
-
-    def role_partition(self) -> Dict[Role, List[NodeId]]:
-        """Group registered nodes by role (restricted topologies only)."""
-        groups: Dict[Role, List[NodeId]] = {}
-        for node in sorted(self._nodes):
-            groups.setdefault(node.role, []).append(node)
-        return groups

@@ -1,4 +1,4 @@
-"""Sharded execution: one agreement cluster, many execution clusters.
+"""Sharded execution: K agreement logs, many execution clusters.
 
 The paper separates agreement from execution so that the ``3f + 1`` ordering
 cluster never touches application state.  This subsystem exploits the other
@@ -7,8 +7,11 @@ cluster, the execution side can be partitioned into ``num_shards``
 independent ``2g + 1`` clusters -- each owning a key range or hash slice of
 the application state -- behind the *same* agreement cluster.  Routing is a
 deterministic function of the agreed global order, so sharding adds no
-agreement rounds; execution throughput scales with the number of shards
-while ordering capacity stays fixed.
+agreement rounds; execution throughput scales with the number of shards.
+One agreement cluster keeps ordering capacity fixed; setting
+``config.multilog.num_logs`` to ``K > 1`` splits ordering into ``K``
+independent logs so it can grow too (the log map, queue and client for that
+live in :mod:`repro.multilog`).
 
 * :mod:`~repro.sharding.partitioner` -- deterministic hash / key-range
   partitioners;
@@ -20,8 +23,9 @@ while ordering capacity stays fixed.
   rejection and per-shard checkpoint/state-transfer lifecycles;
 * :mod:`~repro.sharding.client` -- clients that collect the ``g + 1`` reply
   quorum from the owning shard only;
-* :mod:`~repro.sharding.system` -- :class:`ShardedSystem`, the deployment
-  builder.
+* :mod:`~repro.sharding.system` -- :class:`ShardedSystem`, the one
+  deployment builder for ``N`` shards behind ``K`` logs (``K = 1`` is the
+  ordinary sharded case).
 """
 
 from .client import ShardAwareClient

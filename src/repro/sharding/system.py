@@ -1,22 +1,35 @@
 """System assembly for the sharded architecture.
 
 :class:`ShardedSystem` extends :class:`~repro.core.system.SimulatedSystem`
-with the paper's separation taken one step further: a single ``3f + 1``
-agreement cluster orders *all* requests, and ``num_shards`` independent
-``2g + 1`` execution clusters -- each with its own application state, reply
-cache, checkpoint protocol, and state transfer -- execute the per-shard
-subsequences that the deterministic shard routers carve out of the global
+with the paper's separation taken one step further: ``K =
+config.multilog.num_logs`` independent ``3f + 1`` agreement clusters
+("logs") order the requests, and ``num_shards`` independent ``2g + 1``
+execution clusters -- each with its own application state, reply cache,
+checkpoint protocol, and state transfer -- execute the per-shard
+subsequences that the deterministic shard routers carve out of the agreed
 order.  Execution capacity therefore grows horizontally with the number of
-shards while the agreement cluster stays fixed, which is exactly what the
-separation of agreement from execution buys: ordering does not need to know
-*what* it orders, so it does not need to grow with application state or load.
+shards, and ordering capacity with the number of logs, which is exactly what
+the separation of agreement from execution buys: ordering does not need to
+know *what* it orders, so either plane can grow without the other.
+
+With ``K = 1`` one agreement cluster orders *all* requests -- the ordinary
+sharded deployment, with no multi-log state at all.  With ``K > 1`` each log
+owns a group of shards through an epoch-versioned
+:class:`~repro.multilog.logmap.LogMap`: each shard's feed comes from the log
+that currently owns it, and the per-replica
+:class:`~repro.multilog.queue.MultiLogRouterQueue` adds the cross-log
+coordination round for operations spanning groups.  Fault bounds are per
+cluster: ``f`` Byzantine agreement replicas *per log* and ``g`` Byzantine
+execution replicas *per shard* -- the coordination round never assembles a
+quorum across clusters.
 
 The restricted topology mirrors the physical wiring this deployment would
-use: clients talk to the agreement cluster (and, for the direct-reply
-optimisation, to execution replicas), the agreement cluster talks to every
-execution replica, and execution replicas talk only to *their own shard's*
-peers -- there is no cross-shard link, so shard isolation is enforced by the
-network just like the privacy firewall's wiring is.
+use: clients talk to the agreement replicas (and, for the direct-reply
+optimisation, to execution replicas), the agreement replicas of every log
+talk to each other and to every execution replica, and execution replicas
+talk only to *their own shard's* peers -- there is no cross-shard link
+unless rebalancing or cross-shard operations need one, so shard isolation is
+enforced by the network just like the privacy firewall's wiring is.
 """
 
 from __future__ import annotations
@@ -27,6 +40,10 @@ from ..agreement.replica import AgreementReplica
 from ..config import AuthenticationScheme, SystemConfig
 from ..core.system import SimulatedSystem
 from ..errors import ConfigurationError
+from ..multilog.client import MultiLogClient
+from ..multilog.logmap import LogMapRegistry, initial_log_map
+from ..multilog.messages import LogMapChange
+from ..multilog.queue import MultiLogRouterQueue
 from ..net.topology import Topology
 from ..sim.process import Process
 from ..statemachine.interface import StateMachine
@@ -47,6 +64,11 @@ def sharded_topology(clients: List[NodeId], agreement: List[NodeId],
                      allow_client_execution: bool = True,
                      cross_shard_links: bool = False) -> Topology:
     """Physical wiring of the sharded deployment.
+
+    ``agreement`` lists the replicas of *every* log.  They are all wired to
+    each other (cross-log bindings and cuts flow across log boundaries) and
+    to every execution replica (after a log-map change a different log
+    feeds the cluster).
 
     Static deployments have *no* cross-shard links: shard isolation is
     enforced by the network.  Dynamic rebalancing needs the clusters wired
@@ -71,13 +93,16 @@ def sharded_topology(clients: List[NodeId], agreement: List[NodeId],
 
 
 class ShardedSystem(SimulatedSystem):
-    """One agreement cluster in front of ``num_shards`` execution clusters.
+    """``K`` agreement logs in front of ``num_shards`` execution clusters.
 
     ``app_factory`` is called once per execution replica (``num_shards *
     (2g + 1)`` times); each shard's replicas evolve their own partition of
     the application state.  ``key_extractor`` maps operations to routing keys
     (default: :func:`repro.apps.kvstore.extract_key` when the application
     class exposes one; keyless operations route to shard 0).
+
+    ``log_registry`` and ``log_replicas`` (the agreement replicas grouped by
+    log) are ``None`` when ``K = 1``.
     """
 
     def __init__(self, config: SystemConfig,
@@ -92,8 +117,10 @@ class ShardedSystem(SimulatedSystem):
             )
         super().__init__(config, seed=seed)
         count = num_clients if num_clients is not None else config.num_clients
+        num_logs = config.multilog.num_logs
         num_shards = config.sharding.num_shards
-        cluster_size = config.num_execution_nodes
+        log_cluster = config.num_agreement_nodes
+        exec_cluster = config.num_execution_nodes
 
         if key_extractor is None:
             key_extractor = getattr(app_factory, "extract_key", None)
@@ -101,10 +128,22 @@ class ShardedSystem(SimulatedSystem):
         self.router = ShardRouter(make_partitioner(config.sharding),
                                   key_extractor, multi_key_extractor)
         self.obs.register_global_probe("shard_router", self.router.snapshot)
+        self.log_registry: Optional[LogMapRegistry] = None
+        if num_logs > 1:
+            self.log_registry = LogMapRegistry(initial_log_map(num_shards,
+                                                               num_logs))
+            self.obs.register_global_probe("log_map",
+                                           self.log_registry.snapshot)
 
-        self.agreement_ids = [agreement_id(i) for i in range(config.num_agreement_nodes)]
+        self.log_agreement_ids: List[List[NodeId]] = [
+            [agreement_id(log * log_cluster + i) for i in range(log_cluster)]
+            for log in range(num_logs)
+        ]
+        self.agreement_ids = [node for ids in self.log_agreement_ids
+                              for node in ids]
         self.shard_execution_ids: List[List[NodeId]] = [
-            [execution_id(shard * cluster_size + j) for j in range(cluster_size)]
+            [execution_id(shard * exec_cluster + j)
+             for j in range(exec_cluster)]
             for shard in range(num_shards)
         ]
         self.execution_ids = [node for shard in self.shard_execution_ids
@@ -140,76 +179,179 @@ class ShardedSystem(SimulatedSystem):
             cluster: List[ShardExecutionNode] = []
             group = (shard_threshold_groups[shard]
                      if shard_threshold_groups is not None else None)
+            owner_ids = self.log_agreement_ids[self._log_of_shard(shard)]
             for node_id in shard_ids:
                 node = ShardExecutionNode(
                     node_id=node_id, scheduler=self.scheduler, config=config,
                     keystore=self.keystore, state_machine=app_factory(),
-                    agreement_ids=self.agreement_ids, execution_ids=shard_ids,
-                    client_ids=self.client_ids, upstream=self.agreement_ids,
+                    agreement_ids=owner_ids, execution_ids=shard_ids,
+                    client_ids=self.client_ids, upstream=owner_ids,
                     shard=shard, router=self.router, threshold_group=group,
                     shard_execution_ids=self.shard_execution_ids,
                 )
+                if self.log_registry is not None:
+                    # Log-map cursor and hooks: every execution cluster
+                    # meets every log-map cut at one deterministic slot of
+                    # its own ordered feed; the moved shard's replicas
+                    # repoint their upstream log right after replying under
+                    # the old one.
+                    node.log_map_epoch = 0
+                    node.on_config_marker = self._on_log_map_marker
+                    node.log_of_shard = self._log_of_shard
                 cluster.append(node)
                 self.network.register(node)
             self.shard_execution_nodes.append(cluster)
 
-        # ---------------- Agreement cluster with shard routers. -------- #
+        # ---------------- Agreement logs with shard routers. ----------- #
         cert_verifiers = self.agreement_ids + self.execution_ids
+        queue_args = dict(config=config,
+                          shard_execution_ids=self.shard_execution_ids,
+                          client_ids=self.client_ids, router=self.router,
+                          shard_threshold_groups=shard_threshold_groups)
         self.message_queues: List[ShardRouterQueue] = []
         self.agreement_replicas: List[AgreementReplica] = []
-        for node_id in self.agreement_ids:
-            replica = AgreementReplica(
-                node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore, local=None,  # type: ignore[arg-type]
-                agreement_ids=self.agreement_ids, client_ids=self.client_ids,
-                cert_verifiers=cert_verifiers,
-            )
-            queue = ShardRouterQueue(
-                owner=replica, config=config,
-                shard_execution_ids=self.shard_execution_ids,
-                client_ids=self.client_ids, router=self.router,
-                shard_threshold_groups=shard_threshold_groups,
-            )
-            replica.local = queue
-            if config.pipeline.per_shard_depth is not None:
-                # Skew-aware concurrency: single-shard bundles with per-shard
-                # AIMD controllers and per-shard admission windows (the
-                # classifier reads the queue's live partition-map epoch).
-                replica.enable_per_shard_batching(queue.request_classifier())
-            if config.cross_shard.enabled:
-                # Multi-shard requests are ordered as single-certificate
-                # consistent-cut markers (classified at the queue's live
-                # epoch).
-                replica.enable_cross_shard(queue.cross_shard_probe())
-            if config.rebalance.enabled:
-                # Every replica hosts a rebalance controller (any of them
-                # may become primary); only the current primary proposes.
-                controller = RebalanceController(config.rebalance)
-                replica.attach_rebalancer(controller, queue.load_observation)
-                replica.metrics.register_probe("rebalance.controller",
-                                               controller.snapshot)
-            self.message_queues.append(queue)
-            self.agreement_replicas.append(replica)
-            self.network.register(replica)
+        for log, log_ids in enumerate(self.log_agreement_ids):
+            for node_id in log_ids:
+                replica = AgreementReplica(
+                    node_id=node_id, scheduler=self.scheduler, config=config,
+                    keystore=self.keystore, local=None,  # type: ignore[arg-type]
+                    agreement_ids=log_ids, client_ids=self.client_ids,
+                    cert_verifiers=cert_verifiers,
+                )
+                if self.log_registry is None:
+                    queue = ShardRouterQueue(owner=replica, **queue_args)
+                else:
+                    queue = MultiLogRouterQueue(
+                        owner=replica, log=log,
+                        log_agreement_ids=self.log_agreement_ids,
+                        log_registry=self.log_registry, **queue_args)
+                replica.local = queue
+                if config.pipeline.per_shard_depth is not None:
+                    # Skew-aware concurrency: single-shard bundles with
+                    # per-shard AIMD controllers and per-shard admission
+                    # windows (the classifier reads the queue's live
+                    # partition-map epoch).
+                    replica.enable_per_shard_batching(
+                        queue.request_classifier())
+                if config.cross_shard.enabled:
+                    # Multi-shard requests are ordered as single-certificate
+                    # consistent-cut markers (classified at the queue's
+                    # live epoch).
+                    replica.enable_cross_shard(queue.cross_shard_probe())
+                if config.rebalance.enabled:
+                    # Every replica hosts a rebalance controller (any of
+                    # them may become primary); only the current primary
+                    # proposes.
+                    controller = RebalanceController(config.rebalance)
+                    replica.attach_rebalancer(controller,
+                                              queue.load_observation)
+                    replica.metrics.register_probe("rebalance.controller",
+                                                   controller.snapshot)
+                self.message_queues.append(queue)
+                self.agreement_replicas.append(replica)
+                self.network.register(replica)
+        self.log_replicas: Optional[List[List[AgreementReplica]]] = None
+        if self.log_registry is not None:
+            self.log_replicas = [self._replicas_of_log(log)
+                                 for log in range(num_logs)]
 
         # ---------------- Clients. ---------------- #
         request_verifiers = self.agreement_ids + self.execution_ids
+        client_args = dict(scheduler=self.scheduler, config=config,
+                           keystore=self.keystore,
+                           request_verifiers=request_verifiers,
+                           shard_execution_ids=self.shard_execution_ids,
+                           router=self.router,
+                           shard_threshold_groups=shard_threshold_groups)
         self.clients = []
         for node_id in self.client_ids:
-            client = ShardAwareClient(
-                node_id=node_id, scheduler=self.scheduler, config=config,
-                keystore=self.keystore, agreement_ids=self.agreement_ids,
-                request_verifiers=request_verifiers,
-                shard_execution_ids=self.shard_execution_ids,
-                router=self.router,
-                shard_threshold_groups=shard_threshold_groups,
-            )
+            if self.log_registry is None:
+                client = ShardAwareClient(
+                    node_id=node_id, agreement_ids=self.agreement_ids,
+                    **client_args)
+            else:
+                client = MultiLogClient(
+                    node_id=node_id, log_agreement_ids=self.log_agreement_ids,
+                    log_registry=self.log_registry, **client_args)
             self.clients.append(client)
             self.network.register(client)
+
+    def _log_of_shard(self, shard: int) -> int:
+        """The log currently ordering ``shard``'s feed."""
+        if self.log_registry is None:
+            return 0
+        return self.log_registry.latest.log_of(shard)
+
+    def _replicas_of_log(self, log: int) -> List[AgreementReplica]:
+        size = len(self.log_agreement_ids[log])
+        return self.agreement_replicas[log * size:(log + 1) * size]
+
+    def _on_log_map_marker(self, node: ShardExecutionNode, op) -> None:
+        """Execution-side half of a log-map cut (installed when ``K > 1``)."""
+        if not isinstance(op, LogMapChange):
+            return
+        if op.parent_log_epoch != node.log_map_epoch:
+            return  # stale/duplicate cut: deterministic no-op
+        node.log_map_epoch += 1
+        if op.shard == node.shard:
+            owner_ids = list(self.log_agreement_ids[op.target_log])
+            node.agreement_ids = owner_ids
+            node.upstream = owner_ids
+
+    # ------------------------------------------------------------------ #
+    # Log-map reconfiguration (``K > 1``).
+    # ------------------------------------------------------------------ #
+
+    def propose_log_map_change(self, shard: int, target_log: int) -> bool:
+        """Order one shard's move between log groups through *every* log.
+
+        Each log's current primary proposes the same change into its own
+        log; every queue holds the marker at its release head until the
+        cross-log cut certifies that all logs committed it.  This method
+        serializes changes -- one at a time, proposed only when every log
+        is quiescent enough to accept (all preconditions re-checked inside
+        :meth:`~repro.agreement.replica.AgreementReplica.propose_map_change`
+        would pass) -- because two *concurrent* log-map cuts could be
+        ordered inversely by two logs and deadlock each other's frontiers;
+        see ROADMAP for the MVBA-style cut-ordering follow-up.  A single-log
+        system has nothing to move and always returns False.
+        """
+        if self.log_registry is None:
+            return False
+        parent = self.log_registry.latest_epoch
+        change = LogMapChange(shard=shard, target_log=target_log,
+                              parent_log_epoch=parent)
+        if not change.well_formed(self.num_shards, self.num_logs):
+            return False
+        if self.log_registry.latest.log_of(shard) == target_log:
+            return False
+        if any(queue.log_epoch != parent or any(
+                key[0] == "lmc" for key in queue._held)
+               for queue in self.message_queues):
+            return False  # a previous change is still cutting
+        primaries: List[AgreementReplica] = []
+        for replicas in self.log_replicas:
+            primary = next(
+                (replica for replica in replicas
+                 if replica.is_primary and not replica._view_changing
+                 and not replica.log.has_pending_config_op()
+                 and replica.next_seq <= replica.log.high_watermark), None)
+            if primary is None:
+                return False
+            primaries.append(primary)
+        # All preconditions hold and nothing runs between the checks and
+        # the proposals (the simulator is single-threaded), so either every
+        # log orders the change or none does.
+        return all(primary.propose_map_change(change)
+                   for primary in primaries)
 
     # ------------------------------------------------------------------ #
     # Accessors and fault injection.
     # ------------------------------------------------------------------ #
+
+    @property
+    def num_logs(self) -> int:
+        return len(self.log_agreement_ids)
 
     @property
     def num_shards(self) -> int:
@@ -224,6 +366,15 @@ class ShardedSystem(SimulatedSystem):
     def agreement_replica(self, index: int) -> AgreementReplica:
         return self.agreement_replicas[index]
 
+    def log_queue(self, log: int, index: int) -> ShardRouterQueue:
+        return self.message_queues[log * len(self.log_agreement_ids[0])
+                                   + index]
+
+    def log_primary(self, log: int) -> Optional[AgreementReplica]:
+        """The replica currently acting as ``log``'s primary (if any)."""
+        return next((replica for replica in self._replicas_of_log(log)
+                     if replica.is_primary), None)
+
     def execution_cluster(self, shard: int) -> List[ShardExecutionNode]:
         return self.shard_execution_nodes[shard]
 
@@ -231,7 +382,8 @@ class ShardedSystem(SimulatedSystem):
         return self.shard_execution_nodes[shard][index]
 
     def crash_agreement(self, index: int) -> None:
-        """Crash one agreement replica (tolerated for up to ``f``)."""
+        """Crash one agreement replica (flat index over every log's
+        replicas; tolerated for up to ``f`` per log)."""
         self.agreement_replicas[index].crash()
 
     def crash_execution(self, shard: int, index: int) -> None:
@@ -241,6 +393,12 @@ class ShardedSystem(SimulatedSystem):
     def shard_of_key(self, key: str, epoch: Optional[int] = None) -> int:
         """The shard owning ``key`` (convenience for tests and demos)."""
         return self.router.partitioner.shard_of_key(key, epoch)
+
+    def log_epoch(self) -> int:
+        """The log-map epoch queue 0 of log 0 has reached (0 when ``K = 1``)."""
+        if self.log_registry is None:
+            return 0
+        return self.message_queues[0].log_epoch
 
     # ------------------------------------------------------------------ #
     # Rebalancing observability (example, benchmarks, tests).
@@ -266,11 +424,6 @@ class ShardedSystem(SimulatedSystem):
     def epoch_cuts(self) -> int:
         """Epoch cuts applied by agreement node 0's router."""
         return self.message_queues[0].epoch_cuts
-
-    def map_changes(self) -> List:
-        """Map changes proposed so far (split/merge/move counters per
-        replica's controller; index 0 is usually the primary)."""
-        return [replica._rebalancer for replica in self.agreement_replicas]
 
     def requests_executed_by_shard(self) -> List[int]:
         """Requests executed per shard (max over each shard's correct nodes)."""

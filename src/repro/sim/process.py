@@ -201,9 +201,6 @@ class Process:
         """Handle an incoming message.  Subclasses override this."""
         raise NotImplementedError
 
-    def on_start(self) -> None:
-        """Hook invoked once when the simulation is assembled."""
-
     def charge(self, milliseconds: float) -> None:
         """Charge ``milliseconds`` of processing time to the current handler.
 

@@ -29,11 +29,6 @@ def agreement_quorum(f: int) -> int:
     return 2 * f + 1
 
 
-def agreement_prepared_quorum(f: int) -> int:
-    """Number of matching PREPARE messages (besides the pre-prepare) needed."""
-    return 2 * f
-
-
 def execution_cluster_size(g: int) -> int:
     """Minimum number of execution replicas to tolerate ``g`` Byzantine faults."""
     if g < 0:

@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import dataclasses
 
-import pytest
-
 from conftest import CHEAP_CRYPTO, FAST_TIMERS
 from repro.apps.kvstore import KeyValueStore, get, put, transaction
-from repro.config import CrossShardConfig, SystemConfig
+from repro.config import CrossShardConfig, ObservabilityConfig, SystemConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.faults import LinkFault
 from repro.fuzz import FaultSchedule, ScheduleEvent, run_schedule
 from repro.fuzz.oracles import ExactlyOnceOracle
-from repro.multilog import MultiLogSystem
+from repro.multilog import MultiLogClient, MultiLogRouterQueue
+from repro.sharding import ShardAwareClient, ShardedSystem, ShardRouterQueue
+from repro.util.ids import agreement_id, execution_id
 from repro.workloads import equal_range_boundaries, seed_operations
 from repro.workloads.crossshard import audit_key
 from repro.workloads.skew import skew_key
@@ -42,6 +42,7 @@ from repro.workloads.skew import skew_key
 KEY_SPACE = 64
 NUM_LOGS = 2
 NUM_SHARDS = 4
+METRICS = ObservabilityConfig(metrics=True)
 
 
 def make_system(num_logs=NUM_LOGS, num_shards=NUM_SHARDS, num_clients=4,
@@ -55,7 +56,7 @@ def make_system(num_logs=NUM_LOGS, num_shards=NUM_SHARDS, num_clients=4,
         num_logs=num_logs, num_shards=num_shards, strategy="range",
         range_boundaries=equal_range_boundaries(KEY_SPACE, num_shards),
         **kwargs)
-    return MultiLogSystem(config, KeyValueStore, seed=seed)
+    return ShardedSystem(config, KeyValueStore, seed=seed)
 
 
 def seed_system(system):
@@ -94,13 +95,71 @@ def key_on(system, shard):
 
 
 class TestConstruction:
-    def test_refuses_single_log(self):
-        from repro.errors import ConfigurationError
+    def test_single_log_config_builds_the_sharded_deployment(self):
+        boundaries = equal_range_boundaries(KEY_SPACE, 2)
         config = SystemConfig.multilog_sharded(
             num_logs=1, num_shards=2, strategy="range",
-            range_boundaries=equal_range_boundaries(KEY_SPACE, 2))
-        with pytest.raises(ConfigurationError):
-            MultiLogSystem(config, KeyValueStore)
+            range_boundaries=boundaries, num_clients=2, observability=METRICS)
+        assert config == SystemConfig.sharded(2, "range", boundaries,
+                                              num_clients=2,
+                                              observability=METRICS)
+        system = ShardedSystem(config, KeyValueStore)
+        assert system.num_logs == 1
+        agreement = [agreement_id(i) for i in range(4)]
+        shards = [[execution_id(3 * shard + j) for j in range(3)]
+                  for shard in range(2)]
+        assert system.agreement_ids == agreement
+        assert system.log_agreement_ids == [agreement]
+        assert system.shard_execution_ids == shards
+        # One log: plain shard routers and shard-aware clients, and no
+        # multi-log state or log-map probe at all.
+        assert all(type(queue) is ShardRouterQueue
+                   for queue in system.message_queues)
+        assert all(type(client) is ShardAwareClient
+                   for client in system.clients)
+        assert system.log_registry is None
+        assert system.log_replicas is None
+        assert "log_map" not in system.metrics_snapshot()["global"]
+        assert all(node.on_config_marker is None
+                   for cluster in system.shard_execution_nodes
+                   for node in cluster)
+        assert system.propose_log_map_change(shard=0, target_log=0) is False
+        assert system.log_epoch() == 0
+        # The static sharded wiring: no cross-shard links, every execution
+        # replica reachable from every agreement replica and (direct
+        # replies) every client.
+        topology = system.network.topology
+        clients = system.client_ids
+        execution = [node for ids in shards for node in ids]
+        for node in agreement:
+            assert set(topology.neighbours(node)) == (
+                set(agreement + clients + execution) - {node})
+        for ids in shards:
+            for node in ids:
+                assert set(topology.neighbours(node)) == (
+                    set(ids + agreement + clients) - {node})
+        for node in clients:
+            assert set(topology.neighbours(node)) == set(agreement + execution)
+
+    def test_multi_log_config_wires_logs_and_groups(self):
+        system = make_system(observability=METRICS)
+        assert system.num_logs == NUM_LOGS
+        assert system.agreement_ids == [agreement_id(i) for i in range(8)]
+        assert system.log_agreement_ids == [system.agreement_ids[:4],
+                                            system.agreement_ids[4:]]
+        assert system.log_replicas == [system.agreement_replicas[:4],
+                                       system.agreement_replicas[4:]]
+        assert all(type(queue) is MultiLogRouterQueue
+                   for queue in system.message_queues)
+        assert all(type(client) is MultiLogClient
+                   for client in system.clients)
+        assert "log_map" in system.metrics_snapshot()["global"]
+        # Each shard's feed comes from the log owning its group.
+        for shard in range(system.num_shards):
+            owner = system.log_agreement_ids[shard // 2]
+            for node in system.execution_cluster(shard):
+                assert node.upstream == owner
+                assert node.log_of_shard(shard) == shard // 2
 
     def test_single_group_requests_stay_in_their_log(self):
         system = make_system()
@@ -287,6 +346,9 @@ class TestMultilogFuzzScenario:
         result = run_schedule(schedule)
         assert result.completed_all
         assert result.ok
+        # The gene schedules nothing, so the run is the event-free one.
+        baseline = run_schedule(schedule.with_events(()))
+        assert result.replay_digest == baseline.replay_digest
 
 
 # ---------------------------------------------------------------------- #
